@@ -7,9 +7,7 @@
 package pfuzzer_test
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -242,41 +240,6 @@ func BenchmarkAblation_Paren(b *testing.B) {
 				res = core.New(e.New(), cfg).Run()
 			}
 			b.ReportMetric(float64(len(res.Valids)), "valids")
-		})
-	}
-}
-
-// BenchmarkCampaignParallel tracks the concurrent campaign engine's
-// scaling on the cjson subject: executions per second at 1 worker
-// (the plain serial loop), 4 workers, and GOMAXPROCS workers. The
-// speedup over workers=1 is the perf-trajectory number the
-// speculative pipeline is accountable for (DESIGN.md §11); the full
-// per-subject curve lives in BENCH_pr6.json (cmd/bench
-// -workers-sweep). Every worker count emits the identical corpus.
-func BenchmarkCampaignParallel(b *testing.B) {
-	e, ok := registry.Get("cjson")
-	if !ok {
-		b.Fatal("cjson subject not registered")
-	}
-	workerCounts := []int{1, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
-		workerCounts = append(workerCounts, p)
-	}
-	const campaignExecs = 20000
-	for _, w := range workerCounts {
-		w := w
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			execs, elapsed := 0, time.Duration(0)
-			for i := 0; i < b.N; i++ {
-				res := core.New(e.New(), core.Config{
-					Seed:     1,
-					MaxExecs: campaignExecs,
-					Workers:  w,
-				}).Run()
-				execs += res.Execs
-				elapsed += res.Elapsed
-			}
-			b.ReportMetric(float64(execs)/elapsed.Seconds(), "execs/s")
 		})
 	}
 }

@@ -10,21 +10,14 @@
 //
 //	bench [-quick] [-subjects all] [-execs n] [-reps n] [-seed n]
 //	      [-out BENCH_pr5.json] [-cpuprofile f] [-memprofile f]
-//	bench -workers-sweep 1,2,4,8 [-spec-depths -1,0,16] [-quick]
-//	      [-subjects all] [-execs n] [-reps n] [-seed n]
-//	      [-out BENCH_pr8.json] [-cpuprofile f] [-memprofile f]
+//	bench -fleet-sweep [-quick] [-subjects all] [-execs n] [-reps n]
+//	      [-seed n] [-out BENCH_fleet.json] [-cpuprofile f] [-memprofile f]
 //
-// The second form measures the speculative pipeline engine instead of
-// the cache: the same campaign at each (worker count, spec depth) grid
-// point — Workers=1 runs once, the depth knob being inert there —
-// recording campaign and exec-layer throughput, allocation rates
-// (allocs/bytes per execution, the hot-path diet's trajectory), and
-// the speedup over Workers=1 (sweep.go). Workers<=1 points keep the
-// fingerprint-divergence gate; Workers>1 points are gated on
-// valid-corpus set-equivalence with Workers=1; and on a runner with
-// two or more cores the sweep demands a 1.3x campaign speedup at
-// Workers=2 on at least three subjects, and fails loudly if any
-// Workers>1 point ran zero speculative executions (a dead pipeline).
+// The second form measures multicore scaling instead of the cache:
+// two independent campaigns per subject, run one at a time and two at
+// a time through the fleet orchestrator (fleet.go). It fails if any
+// campaign's fingerprint differs from its standalone run, and, on a
+// host with two or more CPUs, if the aggregate speedup is below 1.5x.
 //
 // -cpuprofile / -memprofile capture the whole bench run with
 // runtime/pprof — the supported way to see where campaign time and
@@ -118,8 +111,7 @@ func main() {
 		reps     = flag.Int("reps", 3, "repetitions per mode; best wall time kept")
 		seed     = flag.Int64("seed", 1, "campaign RNG seed")
 		outPath  = flag.String("out", "BENCH_pr5.json", "output JSON path")
-		sweep    = flag.String("workers-sweep", "", `worker counts to sweep (e.g. "1,2,4,8"); writes the scaling curve instead of the cache matrix`)
-		depths   = flag.String("spec-depths", "0", `spec-depth axis for -workers-sweep (e.g. "-1,0,16"): every Workers>1 count runs once per depth`)
+		fleet    = flag.Bool("fleet-sweep", false, "run two independent campaigns per subject one and two at a time; writes the fleet scaling report instead of the cache matrix")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole bench run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (after the final campaign) to this file")
 	)
@@ -143,8 +135,8 @@ func main() {
 	if *reps < 1 {
 		*reps = 1
 	}
-	if *sweep != "" && !explicit("out") {
-		*outPath = "BENCH_pr8.json"
+	if *fleet && !explicit("out") {
+		*outPath = "BENCH_fleet.json"
 	}
 
 	var entries []registry.Entry
@@ -161,18 +153,8 @@ func main() {
 		}
 	}
 
-	if *sweep != "" {
-		workers, err := parseWorkers(*sweep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(2)
-		}
-		ds, err := parseDepths(*depths)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(2)
-		}
-		runSweep(entries, *seed, *execs, *reps, workers, ds, *quick, *outPath)
+	if *fleet {
+		runFleetSweep(entries, *seed, *execs, *reps, *quick, *outPath)
 		return
 	}
 
@@ -202,23 +184,29 @@ func main() {
 			row.ExecLayerSpeedupOn, retiredTag(row))
 	}
 
-	blob, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		benchExit(1)
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(*outPath, blob, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		benchExit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", *outPath)
+	writeReport(*outPath, &rep)
 
 	if len(rep.Diverged) > 0 {
 		fmt.Fprintf(os.Stderr, "bench: FINGERPRINT DIVERGENCE with cache enabled on: %s\n",
 			strings.Join(rep.Diverged, ", "))
 		benchExit(1)
 	}
+}
+
+// writeReport writes rep as indented JSON to path, exiting non-zero
+// on failure.
+func writeReport(path string, rep any) {
+	blob, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		benchExit(1)
+	}
+	blob = append(blob, '\n')
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		benchExit(1)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 }
 
 func retiredTag(r SubjectReport) string {

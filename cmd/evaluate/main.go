@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	evaluate [-scale f] [-seed n] [-runs n] [-workers n] [-parallel n]
+//	evaluate [-scale f] [-seed n] [-runs n] [-parallel n]
 //	         [-subjects a,b,c] [-mine-execs n] [-out dir] [-table1]
 //	         [-fig2] [-fig3] [-tables] [-summary]
 //
@@ -18,15 +18,13 @@
 // the grammar-zoo subjects urlp, sexpr, httpreq and dotg in the
 // matrix — the 11-subject run of EXPERIMENTS.md §8. -scale multiplies
 // the execution budgets (1.0 ≈ one minute; the paper ran 48 hours per
-// tool and subject, so expect shape, not absolute numbers). -workers
-// runs the pFuzzer campaigns on that many parallel executors; keep it
-// at 1 to reproduce the deterministic paper numbers.
+// tool and subject, so expect shape, not absolute numbers).
 //
 // -parallel n runs the whole matrix — every subject, tool and
 // repetition — as a fleet of n concurrently advancing campaigns over
 // one shared worker pool (internal/campaign), with a live progress
-// line on stderr. Unlike -workers it changes nothing about the
-// results: serial campaigns are slice-invariant under fleet
+// line on stderr. It changes nothing about the results: campaigns
+// are slice-invariant under fleet
 // multiplexing, so the parallel matrix is bit-identical to the serial
 // one, just faster on multicore hosts.
 package main
@@ -49,7 +47,6 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "multiply execution budgets")
 		seed     = flag.Int64("seed", 1, "base RNG seed")
 		runs     = flag.Int("runs", 3, "repetitions per campaign; best run reported")
-		workers  = flag.Int("workers", 1, "parallel executors per pFuzzer campaign")
 		cache    = flag.Bool("cache", true, "pFuzzer execution cache (identical numbers either way; changes wall-clock and the hit-rate column only)")
 		parallel = flag.Int("parallel", 1, "campaigns advanced concurrently (fleet mode; results identical to serial)")
 		mineEx   = flag.Int("mine-execs", 0, "pFuzzer+Mine extra mining executions (0 = pFuzzer budget / 4)")
@@ -104,7 +101,6 @@ func main() {
 	budget := eval.DefaultBudget().Scale(*scale)
 	budget.Seed = *seed
 	budget.Runs = *runs
-	budget.Workers = *workers
 	budget.Fleet = *parallel
 	budget.MineExecs = *mineEx
 	if !*cache {

@@ -102,7 +102,11 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	onExit(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -117,6 +121,16 @@ func main() {
 	}
 	<-shutdownDone // Serve returned because a signal started the shutdown
 }
+
+// Server timeouts. A client that trickles its request headers, or
+// parks an idle keep-alive connection, would otherwise hold a
+// connection and its goroutine forever. There is deliberately no
+// WriteTimeout: the /campaigns/{id}/events stream is a long-lived
+// response.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // The cleanup stack, mirroring cmd/pfuzzer: every resource that must
 // not be abandoned on any exit path registers here, and every exit

@@ -11,9 +11,9 @@ import (
 // subject gets all of this by registering; nothing else to write.
 //
 // Under -short the budgets are trimmed: that is the configuration the
-// CI race job runs, where every property — the parallel-agreement
-// campaigns included — executes under the race detector's ~10x
-// slowdown, and where the point is the concurrency coverage rather
+// CI race job runs, where every property executes under the race
+// detector's ~10x slowdown, and where the point is the concurrency
+// coverage (the determinism property's shared-Program runs) rather
 // than the search depth.
 func TestConformanceAllSubjects(t *testing.T) {
 	o := Options{}

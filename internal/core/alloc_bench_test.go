@@ -9,11 +9,10 @@ import (
 	"pfuzzer/internal/trace"
 )
 
-// Allocation benchmarks for the trajectory hot path (ISSUE 8). The
-// serial engine's per-exec cost is the campaign's critical path — the
-// speculative pipeline can hide subject execution on workers, but every
-// allocation the trajectory goroutine performs per execution is serial
-// time no amount of speculation recovers. Run with -benchmem; the
+// Allocation benchmarks for the trajectory hot path. The engine's
+// per-exec cost is the campaign's critical path: every allocation it
+// performs per execution is time and GC load no other layer recovers.
+// Run with -benchmem; the
 // steady-state figures are pinned (with slack) by alloc_pin_test.go.
 
 // BenchmarkSinkExecute measures one sink-backed subject execution —
@@ -33,7 +32,7 @@ func BenchmarkSinkExecute(b *testing.B) {
 	}
 }
 
-// BenchmarkFactsDistill measures factsOf on a deriving run — the full
+// BenchmarkFactsDistill measures factsOfInto on a deriving run — the full
 // distillation (trimmed blocks, final-index comparisons, stack
 // average) the engine performs for every input whose comparisons seed
 // children.
@@ -45,7 +44,7 @@ func BenchmarkFactsDistill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		factsOf(rec, true)
+		factsOfInto(new(runFacts), rec, true)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 type CacheMode int
 
 const (
-	// CacheAuto — the zero value — enables the cache on every engine.
+	// CacheAuto — the zero value — enables the cache.
 	CacheAuto CacheMode = iota
 	// CacheOn enables the cache explicitly (it only differs from
 	// CacheAuto as a Restore override, where CacheAuto means "keep
@@ -32,10 +32,10 @@ func (c *Config) cacheEnabled() bool { return c.Cache != CacheOff }
 // transparent, the engine is free to drop it mid-campaign: starting at
 // cacheProbation executions (and re-checking a factor of 4 later each
 // time, so a late-blooming campaign still gets re-judged), a hit rate
-// below cacheMinHitPct retires the cache. On the serial engine the
-// decision is a deterministic function of the campaign, and either way
-// the emitted corpus is unchanged; executions after retirement count
-// as misses (they run the subject for real).
+// below cacheMinHitPct retires the cache. The decision is a
+// deterministic function of the campaign, and the emitted corpus is
+// unchanged either way; executions after retirement count as misses
+// (they run the subject for real).
 const (
 	cacheProbation  = 8192
 	cacheMinHitPct  = 25
@@ -43,9 +43,7 @@ const (
 )
 
 // maybeRetireCache applies the adaptive rule at the configured
-// execution milestones. Called from the single goroutine that owns
-// campaign state; executors observe retirement through the cache's own
-// atomic flag.
+// execution milestones.
 func (f *Fuzzer) maybeRetireCache() {
 	if f.cache == nil || f.cfg.Cache == CacheOn || f.cache.Retired() {
 		return
@@ -82,8 +80,8 @@ type cachedFacts struct {
 }
 
 // derivedFacts is the deriving-run half of the memo: what addChildren
-// and emitValid consume. All slices are owned by the entry (factsOf
-// copies them out of the sink-backed record), so concurrent readers
+// and emitValid consume. All slices are owned by the entry
+// (factsOfInto copies them out of the sink-backed record), so readers
 // may alias them freely.
 type derivedFacts struct {
 	stack     float64
@@ -123,9 +121,9 @@ func newCache(cfg *Config) *pcache.Cache[cachedFacts] {
 	return pcache.New[cachedFacts](0)
 }
 
-// cachedExec is the one execute-with-memoisation path both engines
-// run: consult the cache, and on a miss execute input through sink and
-// memoise the distilled facts. hit reports whether subject.ExecuteInto
+// cachedExec is the one execute-with-memoisation path: consult the
+// cache, and on a miss execute input through sink and memoise the
+// distilled facts. hit reports whether subject.ExecuteInto
 // was skipped — the executions-per-second win the cache exists for.
 //
 // The cache is semantically transparent: a hit returns facts
@@ -143,24 +141,10 @@ func newCache(cfg *Config) *pcache.Cache[cachedFacts] {
 // without growing the per-lookup probe range.
 const maxDecidedPrefix = 64
 
-// On the concurrent engine the call additionally consults the
-// speculation memo (spec != nil) on every path that would run the
-// subject: a speculative worker may already have executed the input,
-// in which case its distilled facts — and its DecidedPrefix verdict —
-// stand in for the inline run. A memo-served execution still counts
-// as a cache miss (the serial engine would have run the subject), and
-// the cache inserts below use the same bytes, the same admission
-// order and the same eagerness rule whether the facts came from the
-// memo or an inline run, so the cache's content stays bit-identical
-// to the serial engine's at every execution index. specNS reports the
-// worker wall time a memo hit carried (0 otherwise), which the caller
-// folds into Result.ExecElapsed.
-//
 // hint is the trajectory's extension-probe carry-over. The engine's
 // loop always executes a candidate's random extension immediately
-// after the candidate itself (deriving marks the extension call, and
-// all executions — hence all cache admissions — happen on this one
-// goroutine), which makes two shortcuts sound and bit-transparent:
+// after the candidate itself (deriving marks the extension call), which
+// makes two shortcuts sound and bit-transparent:
 //
 //   - if the candidate's execution admitted the candidate's own
 //     deciding prefix, the extension's Get is *guaranteed* to stop at
@@ -180,15 +164,15 @@ const maxDecidedPrefix = 64
 // retire milestones are unchanged; only the per-iteration hash work
 // drops from two passes over the input to one.
 func cachedExec(cache *pcache.Cache[cachedFacts], prog subject.Program,
-	input []byte, deriving bool, sink *trace.Sink, spec *specPool,
-	hint *extHint, scratch *runFacts) (rf *runFacts, hit bool, specNS int64) {
+	input []byte, deriving bool, sink *trace.Sink,
+	hint *extHint, scratch *runFacts) (rf *runFacts, hit bool) {
 	var slot pcache.Ref
 	upgrade := false
 	if cache != nil {
 		if deriving && hint.stored && len(input) > hint.prevLen && !cache.Retired() {
 			e := hint.entry
 			hint.clear()
-			return e.runFactsInto(scratch, input), true, 0
+			return e.runFactsInto(scratch, input), true
 		}
 		var e cachedFacts
 		var ref pcache.Ref
@@ -201,46 +185,27 @@ func cachedExec(cache *pcache.Cache[cachedFacts], prog subject.Program,
 		hint.clear()
 		if ok {
 			if e.derived != nil {
-				return e.runFactsInto(scratch, input), true, 0
+				return e.runFactsInto(scratch, input), true
 			}
 			if !deriving {
 				// Slim entries are always rejections, whose verdict and
 				// path hash are all a non-deriving caller consumes.
-				return e.runFactsInto(scratch, input), true, 0
+				return e.runFactsInto(scratch, input), true
 			}
 			upgrade = true
 		}
 		slot = ref
 	}
-	// The subject must run; consume a speculative run if one exists,
-	// execute inline otherwise. The memo always carries the full
-	// distillation, a superset of any caller's eagerness — the extra
-	// fields on a slim-eligible rejection are simply never read.
-	var rec *trace.Record
-	var d int
-	var decided bool
-	if spec != nil {
-		if se := spec.take(input); se != nil {
-			rf, d, decided, specNS = se.rf, se.d, se.dec, se.execNS
-		}
-	}
-	if rf == nil {
-		rec = subject.ExecuteInto(prog, input, traceOpts(), sink)
-		d, decided = rec.DecidedPrefix()
-	}
+	rec := subject.ExecuteInto(prog, input, traceOpts(), sink)
 	if cache == nil {
-		if rf == nil {
-			rf = factsOfInto(scratch, rec, deriving)
-		}
-		return rf, false, specNS
+		return factsOfInto(scratch, rec, deriving), false
 	}
 	if upgrade {
-		if rf == nil {
-			rf = factsOfInto(scratch, rec, true)
-		}
+		rf = factsOfInto(scratch, rec, true)
 		cache.Set(slot, cachedFacts{accepted: rf.accepted, pathHash: rf.pathHash, derived: derivedOf(rf)})
-		return rf, false, specNS
+		return rf, false
 	}
+	d, decided := rec.DecidedPrefix()
 	decided = decided && d <= maxDecidedPrefix
 	// Distill the derived half eagerly when the caller needs it anyway
 	// (deriving) or when the entry is a deciding prefix: the engine
@@ -251,9 +216,7 @@ func cachedExec(cache *pcache.Cache[cachedFacts], prog subject.Program,
 	// re-execution. Exact-tier rejections from non-deriving runs stay
 	// slim (they serve re-pops, which are non-deriving too) and
 	// upgrade in place on the rare deriving touch.
-	if rf == nil {
-		rf = factsOfInto(scratch, rec, deriving || decided)
-	}
+	rf = factsOfInto(scratch, rec, deriving || decided)
 	e := cachedFacts{accepted: rf.accepted, pathHash: rf.pathHash}
 	if deriving || decided || rf.accepted {
 		e.derived = derivedOf(rf)
@@ -278,7 +241,7 @@ func cachedExec(cache *pcache.Cache[cachedFacts], prog subject.Program,
 	}
 	hint.ref = slot
 	hint.prevLen = len(input)
-	return rf, false, specNS
+	return rf, false
 }
 
 // extHint is the lookup state cachedExec carries from a candidate's

@@ -170,16 +170,3 @@ func TestCacheAutoRetires(t *testing.T) {
 		}
 	}
 }
-
-// TestCacheParallelCountersComplete: the scheduler folds executor
-// hit/miss tallies so the invariant holds on the concurrent engine
-// too (the split itself is nondeterministic, the sum is not).
-func TestCacheParallelCountersComplete(t *testing.T) {
-	res := New(expr.New(), Config{Seed: 1, MaxExecs: 6000, Workers: 4, Cache: CacheOn}).Run()
-	if res.CacheHits+res.CacheMisses != res.Execs {
-		t.Fatalf("%d hits + %d misses != %d execs", res.CacheHits, res.CacheMisses, res.Execs)
-	}
-	if res.CacheHits == 0 {
-		t.Error("parallel campaign with the cache forced on recorded zero hits")
-	}
-}

@@ -5,9 +5,9 @@ import (
 )
 
 // Campaign is the unified resumable-engine API: a fuzzing campaign
-// driven in execution slices instead of one blocking Run. The serial,
-// parallel and hybrid engines all sit behind the same three-method
-// surface —
+// driven in execution slices instead of one blocking Run. The engine,
+// with or without the hybrid phase driver, sits behind the same
+// three-method surface —
 //
 //	Step(n)    advance by up to n executions
 //	Result()   the live campaign result
@@ -17,13 +17,10 @@ import (
 // multiplexes over a worker pool and the corpus store
 // (internal/corpus) persists across process restarts.
 //
-// Stepping is execution-equivalent on the serial engine (Workers <=
-// 1): any slicing of the budget visits the same executions in the
-// same order as a single Run, so campaigns inside a fleet — and
-// campaigns restored from a snapshot — stay bit-identical to the
-// golden standalone sequences. The parallel engine tolerates slicing
-// too, but each Step spins its own executor generation, so its
-// (already nondeterministic) emission order varies with the slicing.
+// Stepping is execution-equivalent: any slicing of the budget visits
+// the same executions in the same order as a single Run, so campaigns
+// inside a fleet — and campaigns restored from a snapshot — stay
+// bit-identical to the golden standalone sequences.
 type Campaign struct {
 	f *Fuzzer
 }
@@ -37,7 +34,7 @@ func NewCampaign(prog subject.Program, cfg Config) *Campaign {
 }
 
 // Step advances the campaign by up to n executions and returns how
-// many were actually spent (the engines may overshoot by an in-flight
+// many were actually spent (the engine may overshoot by an in-flight
 // input-plus-extension pair, exactly as Run does at the budget edge)
 // and whether the campaign can still make progress. Step never blocks
 // beyond the slice: a hybrid campaign pauses and resumes mid-phase,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -123,35 +125,62 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreParallel smoke-tests snapshot/restore across the
-// concurrent engine: the resumed campaign must complete its budget
-// and keep every restored valid, though emission order past the cut
-// is nondeterministic by design.
-func TestSnapshotRestoreParallel(t *testing.T) {
-	cfg := Config{Seed: 3, MaxExecs: 12000, Workers: 4}
-	c := NewCampaign(cjson.New(), cfg)
-	c.Step(5000)
-	snap := c.Snapshot()
-	cut := len(snap.Valids)
-	if cut == 0 {
-		t.Fatal("no valids before the snapshot cut")
+// retiredKeys are snapshot keys that builds with the speculative
+// engine wrote and this build no longer reads.
+var retiredKeys = map[string]any{"workers": 4, "batch_size": 8, "spec_depth": 16, "shards": 2, "generation": 3, "phases": 1}
+
+// TestRestoreIgnoresRetiredKeys is the cross-version property: a
+// mid-run snapshot carrying the keys an older build wrote — in the
+// config and snapshot objects, and "shard":-1 on every candidate —
+// restores and runs out to the uninterrupted run's fingerprint.
+func TestRestoreIgnoresRetiredKeys(t *testing.T) {
+	cfg := Config{Seed: 1, MaxExecs: 4000}
+	want := New(cjson.New(), cfg).Run()
+
+	first := NewCampaign(cjson.New(), cfg)
+	first.Step(2500)
+	blob, err := first.Snapshot().Marshal()
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.UseNumber() // keep uint64 hashes exact through the rewrite
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	for _, obj := range []map[string]any{doc, doc["config"].(map[string]any)} {
+		for k, v := range retiredKeys {
+			obj[k] = v
+		}
+	}
+	queue := doc["queue"].([]any)
+	if len(queue) == 0 {
+		t.Fatal("snapshot has an empty queue; the shard key would go untested")
+	}
+	if cur, ok := doc["s_cur"]; ok {
+		queue = append(queue, cur)
+	}
+	for _, cd := range queue {
+		cd.(map[string]any)["shard"] = -1
+	}
+	old, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	snap, err := UnmarshalSnapshot(old)
+	if err != nil {
+		t.Fatalf("unmarshal: %v", err)
 	}
 	resumed, err := Restore(cjson.New(), Config{}, snap)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	res := stepOut(t, resumed, 4000)
-	if res.Execs < cfg.MaxExecs {
-		t.Errorf("resumed campaign stopped at %d execs, want >= %d", res.Execs, cfg.MaxExecs)
+	got := stepOut(t, resumed, 700)
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Errorf("restored fingerprint %#x, uninterrupted %#x", got.Fingerprint(), want.Fingerprint())
 	}
-	for i := 0; i < cut; i++ {
-		if string(res.Valids[i].Input) != string(snap.Valids[i].Input) {
-			t.Fatalf("restored valid[%d] = %q, snapshot had %q", i, res.Valids[i].Input, snap.Valids[i].Input)
-		}
-	}
-	if len(res.Valids) < cut {
-		t.Errorf("resumed campaign lost valids: %d < %d", len(res.Valids), cut)
-	}
+	resultsEqual(t, got, want, "restored")
 }
 
 // TestRestoreRejectsBadSnapshot pins the version guard.

@@ -1,6 +1,6 @@
 package core
 
-// EventKind discriminates the campaign events the engines emit
+// EventKind discriminates the campaign events the engine emits
 // through Config.Events — the typed stream that replaced the original
 // OnValid/DebugPop callback pair.
 type EventKind int
@@ -9,9 +9,8 @@ const (
 	// EventValid reports a new valid input entering the corpus.
 	// Input, Execs and NewBlocks are set.
 	EventValid EventKind = iota
-	// EventPop reports a serial-engine queue pop: Input, Score, Execs
-	// and QueueLen are set. The parallel engine pops inside its
-	// executors and does not report pops.
+	// EventPop reports a queue pop: Input, Score, Execs and QueueLen
+	// are set.
 	EventPop
 	// EventPhase reports a hybrid phase-regime switch: Mining is the
 	// new regime, Execs the boundary's execution index.
@@ -41,9 +40,9 @@ type Event struct {
 	Misses    int     // EventCache: cumulative cache misses
 }
 
-// emit delivers ev to the configured event sink, if any. With
-// Workers > 1 every emission happens on the scheduler goroutine, so a
-// sink needs no synchronization of its own.
+// emit delivers ev to the configured event sink, if any. Every
+// emission happens on the goroutine stepping the campaign, so a sink
+// needs no synchronization of its own.
 func (f *Fuzzer) emit(ev Event) {
 	if f.cfg.Events != nil {
 		f.cfg.Events(ev)

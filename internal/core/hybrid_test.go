@@ -132,34 +132,6 @@ func TestHybridAllMiningBudgetTerminates(t *testing.T) {
 	}
 }
 
-// TestHybridParallelValidatesMined runs the hybrid campaign through
-// the executor pool (Workers=4): generated candidates are validated
-// concurrently via the sharded queue, and every emitted input must be
-// accepted. Run under -race this doubles as the locking proof for the
-// phase driver's queue handoff.
-func TestHybridParallelValidatesMined(t *testing.T) {
-	res := New(tinyc.New(), Config{
-		Seed: 3, MaxExecs: 30000, Workers: 4, MinePhase: true, MineLexer: tinycLexer(),
-	}).Run()
-	if res.Execs > 30000 {
-		t.Errorf("execs %d exceed the budget of 30000", res.Execs)
-	}
-	if len(res.Valids) == 0 {
-		t.Fatal("parallel hybrid campaign emitted nothing")
-	}
-	seen := map[string]bool{}
-	for _, v := range res.Valids {
-		if seen[string(v.Input)] {
-			t.Errorf("duplicate valid input %q", v.Input)
-		}
-		seen[string(v.Input)] = true
-		rec := coretest.ExecFull(tinyc.New(), v.Input)
-		if !rec.Accepted() {
-			t.Errorf("emitted input %q is not accepted", v.Input)
-		}
-	}
-}
-
 // TestHybridOutlengthensPure is the §7.4 claim itself, at the default
 // execution budget: on tinyc and mjs the hybrid campaign must emit at
 // least one valid input strictly longer than any valid input the pure

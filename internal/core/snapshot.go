@@ -29,7 +29,11 @@ func (c *countedSource) Int63() int64 { c.draws++; return c.src.Int63() }
 func (c *countedSource) Seed(s int64) { c.src.Seed(s) }
 
 // snapshotVersion guards the serialized layout; Restore rejects
-// snapshots written by a different version.
+// snapshots written by a different version. Keys an older build wrote
+// and this one no longer reads (the speculative engine's workers,
+// batch_size, spec_depth, shards, generation and phases, and each
+// candidate's shard) are ignored by the decoder, which is why their
+// removal needed no version bump (TestRestoreIgnoresRetiredKeys).
 const snapshotVersion = 1
 
 // SavedConfig is the serializable subset of Config a Snapshot carries,
@@ -45,11 +49,6 @@ type SavedConfig struct {
 	Charset       []byte   `json:"charset"`
 	DeadlineNS    int64    `json:"deadline_ns,omitempty"`
 	Cache         int      `json:"cache,omitempty"`
-	Workers       int      `json:"workers,omitempty"`
-	BatchSize     int      `json:"batch_size,omitempty"`
-	SpecDepth     int      `json:"spec_depth,omitempty"`
-	Shards        int      `json:"shards,omitempty"`
-	Generation    int      `json:"generation,omitempty"`
 	MinePhase     bool     `json:"mine_phase,omitempty"`
 	MineBudget    int      `json:"mine_budget,omitempty"`
 	MineMaxTokens int      `json:"mine_max_tokens,omitempty"`
@@ -70,8 +69,7 @@ func savedConfig(c *Config) SavedConfig {
 		Seed: c.Seed, MaxExecs: c.MaxExecs, MaxValids: c.MaxValids,
 		MaxLen: c.MaxLen, MaxQueue: c.MaxQueue, Charset: c.Charset,
 		DeadlineNS: int64(c.Deadline), Cache: int(c.Cache),
-		Workers: c.Workers, BatchSize: c.BatchSize, SpecDepth: c.SpecDepth, Shards: c.Shards,
-		Generation: c.Generation, MinePhase: c.MinePhase, MineBudget: c.MineBudget,
+		MinePhase: c.MinePhase, MineBudget: c.MineBudget,
 		MineMaxTokens: c.MineMaxTokens, MineCadence: c.MineCadence, MineSeeds: c.MineSeeds,
 		NoLengthTerm: c.NoLengthTerm, NoReplacementBonus: c.NoReplacementBonus,
 		NoStackTerm: c.NoStackTerm, NoParentsTerm: c.NoParentsTerm,
@@ -84,8 +82,7 @@ func (sc *SavedConfig) config() Config {
 		Seed: sc.Seed, MaxExecs: sc.MaxExecs, MaxValids: sc.MaxValids,
 		MaxLen: sc.MaxLen, MaxQueue: sc.MaxQueue, Charset: sc.Charset,
 		Deadline: time.Duration(sc.DeadlineNS), Cache: CacheMode(sc.Cache),
-		Workers: sc.Workers, BatchSize: sc.BatchSize, SpecDepth: sc.SpecDepth, Shards: sc.Shards,
-		Generation: sc.Generation, MinePhase: sc.MinePhase, MineBudget: sc.MineBudget,
+		MinePhase: sc.MinePhase, MineBudget: sc.MineBudget,
 		MineMaxTokens: sc.MineMaxTokens, MineCadence: sc.MineCadence, MineSeeds: sc.MineSeeds,
 		NoLengthTerm: sc.NoLengthTerm, NoReplacementBonus: sc.NoReplacementBonus,
 		NoStackTerm: sc.NoStackTerm, NoParentsTerm: sc.NoParentsTerm,
@@ -101,10 +98,7 @@ type SnapValid struct {
 }
 
 // SnapCandidate is one queued (or popped) search candidate in a
-// Snapshot. Shard is always -1 in snapshots this build writes (every
-// engine runs the exact queue); legacy snapshots from the retired
-// sharded-queue engine carry the shard index that held the candidate,
-// which Restore folds back into the exact queue.
+// Snapshot.
 type SnapCandidate struct {
 	Input       []byte   `json:"input"`
 	Replacement []byte   `json:"replacement,omitempty"`
@@ -115,14 +109,13 @@ type SnapCandidate struct {
 	Retries     int      `json:"retries,omitempty"`
 	MineGen     int      `json:"mine_gen,omitempty"`
 	Score       float64  `json:"score"`
-	Shard       int      `json:"shard"`
 }
 
-func snapCandidate(cd *candidate, score float64, shard int) SnapCandidate {
+func snapCandidate(cd *candidate, score float64) SnapCandidate {
 	sc := SnapCandidate{
 		Input: cd.input, Replacement: cd.replacement,
 		Parents: cd.parents, Retries: cd.retries, MineGen: cd.mineGen,
-		Score: score, Shard: shard,
+		Score: score,
 	}
 	if cd.parent != nil {
 		sc.ParentBlks = cd.parent.blks
@@ -171,12 +164,9 @@ type SnapHybrid struct {
 }
 
 // Snapshot is a serializable image of a campaign between Steps, and
-// it is exact on every engine: a campaign restored from a snapshot
-// continues with the same queue, dedup sets, cursor and RNG stream
-// position, so the combined run is bit-identical to an uninterrupted
-// one. With Workers > 1 the speculative workers hold no campaign
-// state between Steps (the memo and board are rebuilt per phase), so
-// the trajectory state captured here is the whole campaign.
+// it is exact: a campaign restored from a snapshot continues with the
+// same queue, dedup sets, cursor and RNG stream position, so the
+// combined run is bit-identical to an uninterrupted one.
 type Snapshot struct {
 	Version int         `json:"version"`
 	Config  SavedConfig `json:"config"`
@@ -189,7 +179,6 @@ type Snapshot struct {
 	ElapsedNS     int64       `json:"elapsed_ns"`
 	ExecElapsedNS int64       `json:"exec_elapsed_ns,omitempty"`
 	RNGDraws      uint64      `json:"rng_draws"`
-	Phases        int         `json:"phases,omitempty"`
 	Began         bool        `json:"began"`
 	LongestValid  int         `json:"longest_valid,omitempty"`
 	MiningActive  bool        `json:"mining_active,omitempty"`
@@ -201,7 +190,7 @@ type Snapshot struct {
 
 	Queue []SnapCandidate `json:"queue,omitempty"`
 
-	// Serial engine loop cursor.
+	// The engine's loop cursor.
 	SStarted   bool           `json:"s_started"`
 	SInput     []byte         `json:"s_input,omitempty"`
 	SExt       []byte         `json:"s_ext,omitempty"`
@@ -234,9 +223,7 @@ func sortedIDs(m map[uint32]bool) []uint32 {
 }
 
 // Snapshot captures the campaign's full state. It must only be called
-// between Steps (never concurrently with one); the parallel engine
-// has no live executors then, so all state is on the scheduler side.
-// Map-backed sets are emitted sorted so snapshot bytes are stable.
+// between Steps (never concurrently with one). Map-backed sets are emitted sorted so snapshot bytes are stable.
 func (c *Campaign) Snapshot() *Snapshot {
 	f := c.f
 	s := &Snapshot{
@@ -250,7 +237,6 @@ func (c *Campaign) Snapshot() *Snapshot {
 		ExecElapsedNS: int64(f.res.ExecElapsed),
 		ElapsedNS:     int64(f.clock.Active()),
 		RNGDraws:      f.cs.draws,
-		Phases:        f.phases,
 		Began:         f.began,
 		LongestValid:  f.longestValid,
 		MiningActive:  f.miningActive,
@@ -278,13 +264,12 @@ func (c *Campaign) Snapshot() *Snapshot {
 	}
 	sort.Slice(s.PathSeen, func(i, j int) bool { return s.PathSeen[i].Hash < s.PathSeen[j].Hash })
 	for _, it := range f.queue.Dump() {
-		s.Queue = append(s.Queue, snapCandidate(it.Value, it.Score, -1))
+		s.Queue = append(s.Queue, snapCandidate(it.Value, it.Score))
 	}
 	if f.sCur != nil {
-		// The popped score rides along so a restored campaign's shadow
-		// simulator re-enqueues the cursor from the same base (it never
-		// affects what the campaign computes, only prediction quality).
-		sc := snapCandidate(f.sCur, f.sCurScore, -1)
+		// The popped candidate is re-scored when it is re-enqueued, so
+		// its pop-time score is not campaign state.
+		sc := snapCandidate(f.sCur, 0)
 		s.SCur = &sc
 	}
 	if f.hyb != nil {
@@ -311,7 +296,7 @@ func (c *Campaign) Snapshot() *Snapshot {
 // time, which the snapshot carries — a resumed campaign continues its
 // clock, it does not restart it. Everything else in cfg is ignored.
 //
-// On the serial engine the restored campaign is exact: its RNG stream
+// The restored campaign is exact: its RNG stream
 // is fast-forwarded to the saved draw position and its queue, dedup
 // sets and loop cursor are rebuilt in order, so stepping it produces
 // the same executions an uninterrupted run would from that point.
@@ -394,7 +379,6 @@ func Restore(prog subject.Program, cfg Config, s *Snapshot) (*Campaign, error) {
 		n := pc.Count
 		f.pathSeen[pc.Hash] = &n
 	}
-	f.phases = s.Phases
 	f.longestValid = s.LongestValid
 	f.miningActive = s.MiningActive
 	f.sStarted = s.SStarted
@@ -404,14 +388,9 @@ func Restore(prog subject.Program, cfg Config, s *Snapshot) (*Campaign, error) {
 	f.curMineGen = s.CurMineGen
 	if s.SCur != nil {
 		f.sCur = s.SCur.candidate()
-		f.sCurScore = s.SCur.Score
 	}
 
-	// Every candidate restores into the exact queue in snapshot order.
-	// Legacy snapshots from the retired sharded-queue engine carry
-	// Shard >= 0 entries; folding them into the one queue preserves
-	// their scores and relative order, which is all that engine
-	// guaranteed anyway.
+	// Every candidate restores into the queue in snapshot order.
 	for i := range s.Queue {
 		e := &s.Queue[i]
 		f.queue.Push(e.candidate(), e.Score)

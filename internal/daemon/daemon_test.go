@@ -91,7 +91,7 @@ func referenceValids(t *testing.T, sub Submission) [][]byte {
 	}
 	var valids [][]byte
 	cfg := core.Config{
-		Seed: sub.Seed, MaxExecs: sub.MaxExecs, Workers: sub.Workers,
+		Seed: sub.Seed, MaxExecs: sub.MaxExecs,
 		MinePhase: sub.Mine, MineLexer: entry.Lexer,
 		Events: func(ev core.Event) {
 			if ev.Kind == core.EventValid {
@@ -222,6 +222,38 @@ func TestTenantBudgetEnforced(t *testing.T) {
 }
 
 func TestGracefulCloseResumes(t *testing.T) {
+	closeAndResume(t, nil)
+}
+
+// TestResumeIgnoresRetiredSpecKeys is the cross-version property for
+// campaign specs: a spec.json written by a build that still had the
+// per-campaign "workers" knob resumes to the same corpus.
+func TestResumeIgnoresRetiredSpecKeys(t *testing.T) {
+	closeAndResume(t, func(dir string) {
+		path := filepath.Join(dir, specFile)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["workers"] = 4
+		if b, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// closeAndResume closes a daemon mid-campaign, lets edit (if non-nil)
+// alter the parked campaign's directory, restarts the daemon on the
+// same root, and requires the resumed journal to converge to the
+// uninterrupted run's corpus.
+func closeAndResume(t *testing.T, edit func(dir string)) {
 	root := t.TempDir()
 	sub := Submission{Subject: "expr", Seed: 9, MaxExecs: 15000, SnapEvery: 1000}
 	want := referenceValids(t, sub)
@@ -249,6 +281,9 @@ func TestGracefulCloseResumes(t *testing.T) {
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	if edit != nil {
+		edit(filepath.Join(root, st.ID))
 	}
 
 	s2, err := New(Config{Root: root, Workers: 2, Slice: 512})
@@ -441,6 +476,9 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"subject":"nosuch"}`, http.StatusUnprocessableEntity},
 		{`{}`, http.StatusBadRequest},
 		{`{"subject":"expr","bogus":1}`, http.StatusBadRequest},
+		// The per-campaign engine concurrency knob is gone; a client
+		// still sending it learns so instead of silently running serial.
+		{`{"subject":"expr","workers":4}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(tc.body))

@@ -78,18 +78,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "pfuzzerd_campaign_cache_hit_ratio{campaign=%q} %.4f\n", st.ID, ratio)
 	}
 
-	fmt.Fprintf(w, "# HELP pfuzzerd_campaign_spec_execs Speculative executions run by a campaign's workers.\n")
-	fmt.Fprintf(w, "# TYPE pfuzzerd_campaign_spec_execs gauge\n")
-	for _, st := range sts {
-		fmt.Fprintf(w, "pfuzzerd_campaign_spec_execs{campaign=%q} %d\n", st.ID, st.SpecExecs)
-	}
-
-	fmt.Fprintf(w, "# HELP pfuzzerd_campaign_spec_hits Speculative executions the trajectory consumed.\n")
-	fmt.Fprintf(w, "# TYPE pfuzzerd_campaign_spec_hits gauge\n")
-	for _, st := range sts {
-		fmt.Fprintf(w, "pfuzzerd_campaign_spec_hits{campaign=%q} %d\n", st.ID, st.SpecHits)
-	}
-
 	fmt.Fprintf(w, "# HELP pfuzzerd_tenant_execs Executions spent by a tenant across its campaigns (may regress after a crash-restart).\n")
 	fmt.Fprintf(w, "# TYPE pfuzzerd_tenant_execs gauge\n")
 	tens := s.tenantsSorted()

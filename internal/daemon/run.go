@@ -153,7 +153,7 @@ func (s *Server) freshRun(sp *Spec, entry registry.Entry, ten *tenant, dir strin
 	}
 	r.store = store
 	cfg := core.Config{
-		Seed: sp.Seed, MaxExecs: sp.MaxExecs, Workers: sp.Workers,
+		Seed: sp.Seed, MaxExecs: sp.MaxExecs,
 		MinePhase: sp.Mine, MineLexer: entry.Lexer, Events: r.coreEvents,
 	}
 	r.camp = core.NewCampaign(entry.New(), cfg)
@@ -205,7 +205,7 @@ func (s *Server) resumeRun(sp *Spec) (*run, error) {
 		// collapses, so the corpus still converges to the uninterrupted
 		// run's.
 		cfg := core.Config{
-			Seed: sp.Seed, MaxExecs: sp.MaxExecs, Workers: sp.Workers,
+			Seed: sp.Seed, MaxExecs: sp.MaxExecs,
 			MinePhase: sp.Mine, MineLexer: entry.Lexer, Events: r.coreEvents,
 		}
 		r.camp = core.NewCampaign(entry.New(), cfg)
@@ -272,8 +272,6 @@ func (r *run) refreshLocked() {
 	r.st.CoverageBlocks = len(res.Coverage)
 	r.st.CacheHits = res.CacheHits
 	r.st.CacheMisses = res.CacheMisses
-	r.st.SpecExecs = res.SpecExecs
-	r.st.SpecHits = res.SpecHits
 	r.st.ElapsedMS = res.Elapsed.Milliseconds()
 	r.st.DroppedEvents = r.hub.droppedCount()
 }

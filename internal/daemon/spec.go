@@ -27,14 +27,11 @@ type Submission struct {
 	// Subject is the registered subject to fuzz (required).
 	Subject string `json:"subject"`
 	// Seed seeds the campaign RNG (campaigns are deterministic under
-	// it at every worker count).
+	// it).
 	Seed int64 `json:"seed,omitempty"`
 	// MaxExecs is the campaign's execution budget (0 = the engine
 	// default, 100000).
 	MaxExecs int `json:"execs,omitempty"`
-	// Workers is the engine concurrency for this campaign (<= 1
-	// serial; higher counts are bit-identical, just faster).
-	Workers int `json:"workers,omitempty"`
 	// Mine enables the hybrid grammar-mining campaign (§7.4).
 	Mine bool `json:"mine,omitempty"`
 	// Shim, when non-empty, drives the subject out of process through

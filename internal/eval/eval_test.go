@@ -75,9 +75,9 @@ func TestSummarizePoolsCounts(t *testing.T) {
 }
 
 // TestMineColumnTokenCoverageSuperset pins the pFuzzer+Mine column's
-// contract on every paper subject: with Workers <= 1 the hybrid's
-// exploration phase reproduces the pFuzzer campaign exactly (same
-// seed, same budget, deterministic serial engine), so its valid
+// contract on every paper subject: the hybrid's exploration phase
+// reproduces the pFuzzer campaign exactly (same seed, same budget,
+// deterministic engine), so its valid
 // corpus extends pFuzzer's and its token coverage is a superset —
 // never below the pFuzzer column.
 func TestMineColumnTokenCoverageSuperset(t *testing.T) {

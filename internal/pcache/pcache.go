@@ -1,6 +1,6 @@
 // Package pcache is the prefix-decided execution cache behind
 // core.Config.Cache: a memo table over subject executions that lets
-// the campaign engines skip re-running inputs whose outcome is already
+// the campaign engine skip re-running inputs whose outcome is already
 // known. It exploits the structure of parser-directed search — almost
 // every candidate the engine executes shares a long, already-decided
 // prefix with a previously executed input — through two tiers:
@@ -11,7 +11,7 @@
 //     outcome stands in for a real run;
 //   - exact inputs for everything else (acceptances and EOF-decided
 //     rejections), sound because subjects are deterministic:
-//     re-executing the very same input — which the engines do on every
+//     re-executing the very same input — which the engine does on every
 //     candidate re-pop — replays the same trace.
 //
 // Both tiers live in one table keyed by a 128-bit rolling hash of the
@@ -26,22 +26,10 @@
 // and the engine-level cache-transparency property
 // (internal/conformance) would surface one as a fingerprint mismatch.
 //
-// The table is striped: entries spread over independently RW-locked
-// segments selected by key hash, so the parallel engine's speculative
-// workers and its scheduler probe and fill the shared cache without
-// contending on one global lock. The routing structures in front of
-// the segments — the prefix-length bitset and the negative bloom
-// filter — are read lock-free with atomic word loads; writers publish
-// bits with CAS (the filters are append-only, so a racing reader can
-// at worst miss a just-added entry and fall back to a real execution,
-// never return a wrong value).
-//
-// The cache is value-generic, safe for concurrent use, bounded, and
-// deterministic: a full cache stops admitting entries instead of
-// evicting, so a lookup's answer never depends on timing. Used from a
-// single goroutine its observable behaviour — every admission bool,
-// every lookup, Len, the retire point — is bit-identical to the
-// pre-striping global-lock implementation.
+// The cache is value-generic, bounded, and deterministic: a full
+// cache stops admitting entries instead of evicting, so a lookup's
+// answer never depends on timing. It has one owner — the goroutine
+// stepping the campaign — and is not safe for concurrent use.
 //
 // Contract for Get: a stored deciding prefix of the input wins over an
 // exact entry, and among nested deciding prefixes the shortest wins.
@@ -50,11 +38,6 @@
 // contract — so the order only fixes which equivalent copy is
 // returned.
 package pcache
-
-import (
-	"sync"
-	"sync/atomic"
-)
 
 // DefaultLimit is the entry bound used when New is given 0.
 const DefaultLimit = 1 << 18
@@ -93,78 +76,31 @@ const (
 	bloomMask  = bloomWords*64 - 1
 )
 
-// stripeBits fixes the segment count at 16: enough that a scheduler
-// plus a handful of speculative workers rarely collide on a segment
-// lock, few enough that the per-segment maps stay dense. Segments are
-// selected by the top hash bits, disjoint from the low bits the bloom
-// filter consumes.
-const (
-	stripeBits  = 4
-	stripeCount = 1 << stripeBits
-)
+// lenBits is the prefix-length bitset: bit n is set once a deciding
+// prefix of length n is stored, so a lookup probes the table only at
+// populated lengths.
+type lenBits []uint64
 
-// segment is one independently locked slice of the table. The live
-// fields are padded to a 128-byte stride so two segments' locks never
-// share a cache line.
-type segment[V any] struct {
-	mu sync.RWMutex
-	m  map[key]V
-	_  [96]byte
-}
-
-func segIdx(k key) int { return int(k[0] >> (64 - stripeBits)) }
-
-// lenBits is the prefix-length bitset, read lock-free: the word slice
-// hangs off an atomic pointer (it grows as longer prefixes appear) and
-// individual words are loaded atomically. Writers serialise on mu and
-// publish with atomic stores, so a racing reader sees either the bit
-// or a benign false negative — never a torn word.
-type lenBits struct {
-	mu    sync.Mutex
-	words atomic.Pointer[[]uint64]
-}
-
-func (b *lenBits) test(n int) bool {
-	wp := b.words.Load()
-	if wp == nil {
-		return false
-	}
-	w := *wp
+func (b lenBits) test(n int) bool {
 	i := n >> 6
-	return i < len(w) && atomic.LoadUint64(&w[i])&(1<<(n&63)) != 0
+	return i < len(b) && b[i]&(1<<(n&63)) != 0
 }
 
 func (b *lenBits) set(n int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	i := n >> 6
-	var w []uint64
-	if wp := b.words.Load(); wp != nil {
-		w = *wp
+	if i >= len(*b) {
+		*b = append(*b, make([]uint64, i+1-len(*b))...)
 	}
-	if i >= len(w) {
-		grown := make([]uint64, i+1)
-		for j := range w {
-			// Writers are serialised on mu, but lock-free testers load
-			// these words concurrently — keep every cross-goroutine
-			// access to the shared array on the same atomic ops.
-			grown[j] = atomic.LoadUint64(&w[j])
-		}
-		grown[i] |= 1 << (n & 63)
-		b.words.Store(&grown)
-		return
-	}
-	atomic.StoreUint64(&w[i], atomic.LoadUint64(&w[i])|1<<(n&63))
+	(*b)[i] |= 1 << (n & 63)
 }
 
-// Cache is a bounded, concurrency-safe prefix/exact memo table.
+// Cache is a bounded prefix/exact memo table.
 type Cache[V any] struct {
-	retired atomic.Bool  // Retire was called: all operations are no-ops
-	size    atomic.Int64 // admitted entries across all segments
-	limit   int64
+	retired bool // Retire was called: all operations are no-ops
+	limit   int
 	lens    lenBits
-	bloom   []uint64 // negative filter over stored keys; atomic words
-	segs    []segment[V]
+	bloom   []uint64 // negative filter over stored keys
+	m       map[key]V
 }
 
 // New returns an empty cache bounded to limit stored entries across
@@ -173,15 +109,11 @@ func New[V any](limit int) *Cache[V] {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	c := &Cache[V]{
-		limit: int64(limit),
+	return &Cache[V]{
+		limit: limit,
 		bloom: make([]uint64, bloomWords),
-		segs:  make([]segment[V], stripeCount),
+		m:     make(map[key]V),
 	}
-	for i := range c.segs {
-		c.segs[i].m = make(map[key]V)
-	}
-	return c
 }
 
 // bloomBits derives the two filter bit positions of a key from
@@ -194,37 +126,13 @@ func bloomBits(k key) (uint64, uint64) {
 // absent).
 func (c *Cache[V]) mayContain(k key) bool {
 	b1, b2 := bloomBits(k)
-	return atomic.LoadUint64(&c.bloom[b1>>6])&(1<<(b1&63)) != 0 &&
-		atomic.LoadUint64(&c.bloom[b2>>6])&(1<<(b2&63)) != 0
-}
-
-// orWord sets bit in *w with a CAS loop; concurrent setters under
-// different segment locks make a plain RMW a race.
-func orWord(w *uint64, bit uint64) {
-	for {
-		old := atomic.LoadUint64(w)
-		if old&bit == bit {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|bit) {
-			return
-		}
-	}
+	return c.bloom[b1>>6]&(1<<(b1&63)) != 0 && c.bloom[b2>>6]&(1<<(b2&63)) != 0
 }
 
 func (c *Cache[V]) bloomAdd(k key) {
 	b1, b2 := bloomBits(k)
-	orWord(&c.bloom[b1>>6], 1<<(b1&63))
-	orWord(&c.bloom[b2>>6], 1<<(b2&63))
-}
-
-// lookup probes k's segment under its read lock.
-func (c *Cache[V]) lookup(k key) (V, bool) {
-	seg := &c.segs[segIdx(k)]
-	seg.mu.RLock()
-	v, ok := seg.m[k] // reading a nil (retired) map is a clean miss
-	seg.mu.RUnlock()
-	return v, ok
+	c.bloom[b1>>6] |= 1 << (b1 & 63)
+	c.bloom[b2>>6] |= 1 << (b2 & 63)
 }
 
 // Ref identifies an entry slot returned by Get. After a hit it
@@ -247,17 +155,16 @@ func (r Ref) Missed() bool { return !r.ok && r.k != (key{}) }
 
 // Get returns the memoised value for input: the value of the shortest
 // stored deciding prefix of input, or failing that the input's exact
-// entry. The rolling pass touches only the lock-free routing bits;
-// a segment lock is taken per surviving probe, so concurrent lookups
-// of unrelated inputs rarely share a lock.
+// entry. The rolling pass touches only the routing bits; the table
+// itself is probed only where both filters admit a stored key.
 func (c *Cache[V]) Get(input []byte) (V, Ref, bool) {
-	if c.retired.Load() {
+	if c.retired {
 		var zero V
 		return zero, Ref{}, false
 	}
 	h1, h2 := uint64(seed1), uint64(seed2)
 	if c.lens.test(0) {
-		if v, ok := c.lookup(key{h1, h2}); ok {
+		if v, ok := c.m[key{h1, h2}]; ok {
 			return v, Ref{k: key{h1, h2}, ok: true}, true
 		}
 	}
@@ -265,7 +172,7 @@ func (c *Cache[V]) Get(input []byte) (V, Ref, bool) {
 		h1, h2 = step(h1, h2, input[i])
 		if c.lens.test(i + 1) {
 			if k := (key{h1, h2}); c.mayContain(k) {
-				if v, ok := c.lookup(k); ok {
+				if v, ok := c.m[k]; ok {
 					return v, Ref{k: k, ok: true}, true
 				}
 			}
@@ -273,7 +180,7 @@ func (c *Cache[V]) Get(input []byte) (V, Ref, bool) {
 	}
 	k := key{h1, h2 ^ exactTag}
 	if c.mayContain(k) {
-		if v, ok := c.lookup(k); ok {
+		if v, ok := c.m[k]; ok {
 			return v, Ref{k: k, ok: true}, true
 		}
 	}
@@ -284,7 +191,7 @@ func (c *Cache[V]) Get(input []byte) (V, Ref, bool) {
 // GetExt is Get for an extension of a previously missed input: r must
 // be the miss Ref of a lookup over some byte string p, and tail the
 // bytes appended to p. The rolling pass resumes from r's hash state,
-// so only tail's bytes are hashed — for the engines' candidate →
+// so only tail's bytes are hashed — for the engine's candidate →
 // candidate+char probe sequence that is one step instead of a second
 // full pass over the candidate.
 //
@@ -293,15 +200,15 @@ func (c *Cache[V]) Get(input []byte) (V, Ref, bool) {
 // been admitted since the lookup that produced r. Under that guarantee
 // the skipped probes are all repeats of probes the original lookup
 // already saw miss, so GetExt's answer — value, hit flag, and returned
-// miss Ref — is bit-identical to Get(p+tail)'s. The campaign engines
-// hold the guarantee structurally: all admissions happen on the
-// trajectory goroutine, and the only admission between a candidate's
-// lookup and its extension's is the candidate's own outcome, whose
+// miss Ref — is bit-identical to Get(p+tail)'s. The campaign engine
+// holds the guarantee structurally: the only admission between a
+// candidate's lookup and its extension's is the candidate's own
+// outcome, whose
 // prefix form is handled separately (core's extension hint) and whose
 // exact form lives in the tagged tier GetExt never probes for prefix
 // lengths.
 func (c *Cache[V]) GetExt(r Ref, tail []byte) (V, Ref, bool) {
-	if c.retired.Load() || !r.Missed() {
+	if c.retired || !r.Missed() {
 		var zero V
 		return zero, Ref{}, false
 	}
@@ -312,7 +219,7 @@ func (c *Cache[V]) GetExt(r Ref, tail []byte) (V, Ref, bool) {
 		n++
 		if c.lens.test(n) {
 			if k := (key{h1, h2}); c.mayContain(k) {
-				if v, ok := c.lookup(k); ok {
+				if v, ok := c.m[k]; ok {
 					return v, Ref{k: k, ok: true}, true
 				}
 			}
@@ -320,7 +227,7 @@ func (c *Cache[V]) GetExt(r Ref, tail []byte) (V, Ref, bool) {
 	}
 	k := key{h1, h2 ^ exactTag}
 	if c.mayContain(k) {
-		if v, ok := c.lookup(k); ok {
+		if v, ok := c.m[k]; ok {
 			return v, Ref{k: k, ok: true}, true
 		}
 	}
@@ -329,19 +236,14 @@ func (c *Cache[V]) GetExt(r Ref, tail []byte) (V, Ref, bool) {
 }
 
 // Set overwrites the entry r addresses (a no-op for the zero Ref or a
-// never-admitted entry). Concurrent Sets of the same entry are safe;
-// in the intended use racing writers carry equivalent values, so
-// either winning is fine.
+// never-admitted entry).
 func (c *Cache[V]) Set(r Ref, v V) {
 	if !r.ok {
 		return
 	}
-	seg := &c.segs[segIdx(r.k)]
-	seg.mu.Lock()
-	if _, exists := seg.m[r.k]; exists {
-		seg.m[r.k] = v
+	if _, exists := c.m[r.k]; exists {
+		c.m[r.k] = v
 	}
-	seg.mu.Unlock()
 }
 
 // hash runs the rolling pass over all of b.
@@ -373,7 +275,7 @@ func (c *Cache[V]) PutExact(input []byte, v V) bool {
 
 // PutExactAt is PutExact addressed by the Ref a missing Get returned,
 // sparing the caller a second pass over the input's bytes — the
-// normal way the engines admit a fresh outcome right after a missed
+// normal way the engine admits a fresh outcome right after a missed
 // lookup.
 func (c *Cache[V]) PutExactAt(r Ref, v V) bool {
 	if r.ok || r.k == (key{}) {
@@ -383,23 +285,13 @@ func (c *Cache[V]) PutExactAt(r Ref, v V) bool {
 }
 
 func (c *Cache[V]) put(k key, prefixLen int, v V) bool {
-	seg := &c.segs[segIdx(k)]
-	seg.mu.Lock()
-	defer seg.mu.Unlock()
-	if seg.m == nil || c.size.Load() >= c.limit {
+	if c.m == nil || len(c.m) >= c.limit {
 		return false
 	}
-	if _, dup := seg.m[k]; dup {
+	if _, dup := c.m[k]; dup {
 		return false
 	}
-	// Reserve a slot against the shared bound; under concurrent puts
-	// the pre-check above can pass in several segments at once, so the
-	// reservation is what actually enforces the limit.
-	if c.size.Add(1) > c.limit {
-		c.size.Add(-1)
-		return false
-	}
-	seg.m[k] = v
+	c.m[k] = v
 	c.bloomAdd(k)
 	if prefixLen >= 0 {
 		c.lens.set(prefixLen)
@@ -408,32 +300,19 @@ func (c *Cache[V]) put(k key, prefixLen int, v V) bool {
 }
 
 // Len returns the number of stored entries across both tiers.
-func (c *Cache[V]) Len() int {
-	if c.retired.Load() {
-		return 0
-	}
-	return int(c.size.Load())
-}
+func (c *Cache[V]) Len() int { return len(c.m) }
 
 // Retire permanently idles the cache and releases the entry storage:
-// every later Get misses in one atomic load and every Put is a no-op.
-// The routing bits (length bitset, bloom filter) stay allocated — a
-// fixed ~64 KiB — so lock-free readers racing with Retire never
-// observe freed storage; only the per-segment maps, which carry the
-// real footprint, are dropped under their locks. The campaign engines
-// call Retire when the adaptive mode (core.CacheAuto) observes a hit
-// rate too low to pay for the lookups — safe at any point, from any
-// goroutine, because the cache is semantically transparent: losing it
-// changes wall-clock, never results.
+// every later Get misses at once and every Put is a no-op. The
+// campaign engine calls Retire when the adaptive mode
+// (core.CacheAuto) observes a hit rate too low to pay for the
+// lookups — safe at any point, because the cache is semantically
+// transparent: losing it changes wall-clock, never results.
 func (c *Cache[V]) Retire() {
-	c.retired.Store(true)
-	for i := range c.segs {
-		seg := &c.segs[i]
-		seg.mu.Lock()
-		seg.m = nil
-		seg.mu.Unlock()
-	}
+	c.retired = true
+	c.m = nil
+	c.bloom = nil
 }
 
 // Retired reports whether Retire was called.
-func (c *Cache[V]) Retired() bool { return c.retired.Load() }
+func (c *Cache[V]) Retired() bool { return c.retired }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -198,223 +197,5 @@ func TestRetire(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Errorf("Len = %d after Retire, want 0", c.Len())
-	}
-}
-
-// TestConcurrentRetire retires the cache while readers are mid-Get:
-// the read path must tolerate the storage vanishing between its
-// retired-flag check and the lock (a nil-bloom panic lived exactly
-// there), answering a clean miss instead.
-func TestConcurrentRetire(t *testing.T) {
-	for round := 0; round < 50; round++ {
-		c := New[string](0)
-		rng := rand.New(rand.NewSource(int64(round)))
-		for i := 0; i < 200; i++ {
-			k := randKey(rng)
-			c.PutExact([]byte(k), "E:"+k)
-			c.PutPrefix([]byte(k), "P:"+k)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				r := rand.New(rand.NewSource(seed))
-				for i := 0; i < 500; i++ {
-					c.Get([]byte(randKey(r)))
-				}
-			}(int64(round*10 + w))
-		}
-		c.Retire()
-		wg.Wait()
-		if _, _, ok := c.Get([]byte("a")); ok {
-			t.Fatal("hit after Retire")
-		}
-	}
-}
-
-// TestConcurrentReaders hammers one cache from concurrent readers
-// while a writer keeps inserting — the parallel engine's sharing
-// pattern — under the invariant that any value returned for an input
-// must be one that was actually stored for a prefix of it (values
-// encode their own key). Run with -race this also proves the locking.
-func TestConcurrentReaders(t *testing.T) {
-	c := New[string](1 << 14)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	wg.Add(1)
-	go func() { // writer
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 30000; i++ {
-			k := randKey(rng)
-			if rng.Intn(2) == 0 {
-				c.PutPrefix([]byte(k), "P:"+k)
-			} else {
-				c.PutExact([]byte(k), "E:"+k)
-			}
-		}
-		close(stop)
-	}()
-
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := randKey(rng)
-				v, _, ok := c.Get([]byte(k))
-				if !ok {
-					continue
-				}
-				switch {
-				case strings.HasPrefix(v, "P:"):
-					if !strings.HasPrefix(k, v[2:]) {
-						t.Errorf("Get(%q) returned prefix entry %q that is not a prefix", k, v)
-						return
-					}
-				case strings.HasPrefix(v, "E:"):
-					if v[2:] != k {
-						t.Errorf("Get(%q) returned exact entry %q for different bytes", k, v)
-						return
-					}
-				default:
-					t.Errorf("Get(%q) returned unknown value %q", k, v)
-					return
-				}
-			}
-		}(int64(w + 1))
-	}
-	wg.Wait()
-}
-
-// TestConcurrentModelAgreement is the model-based stress proof for the
-// striped table: N mutator goroutines hammer PutPrefix/PutExact while
-// readers Get concurrently, every goroutine recording which of its
-// puts were admitted. First-write-wins serialises on the segment
-// locks, so across all goroutines at most one put per (tier, key) can
-// have returned true — the admitted set therefore defines a unique
-// sequential model regardless of interleaving, and after quiescing
-// the cache must agree with that model on every probe, with Len equal
-// to the total number of admissions. Run with -race this is also the
-// locking proof for the striped segments, the atomic length bitset
-// and the CAS-published bloom filter.
-func TestConcurrentModelAgreement(t *testing.T) {
-	for _, limit := range []int{1 << 16, 97} {
-		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
-			c := New[string](limit)
-			type put struct {
-				prefix bool
-				k, v   string
-			}
-			const (
-				mutators = 4
-				readers  = 3
-				opsPerM  = 8000
-			)
-			admitted := make([][]put, mutators)
-			var mg, rg sync.WaitGroup
-			stop := make(chan struct{})
-			for w := 0; w < mutators; w++ {
-				mg.Add(1)
-				go func(w int) {
-					defer mg.Done()
-					rng := rand.New(rand.NewSource(int64(w + 1)))
-					for i := 0; i < opsPerM; i++ {
-						k := randKey(rng)
-						v := fmt.Sprintf("%d#%d:%q", w, i, k)
-						if rng.Intn(2) == 0 {
-							if c.PutPrefix([]byte(k), "P"+v) {
-								admitted[w] = append(admitted[w], put{true, k, "P" + v})
-							}
-						} else {
-							if c.PutExact([]byte(k), "E"+v) {
-								admitted[w] = append(admitted[w], put{false, k, "E" + v})
-							}
-						}
-					}
-				}(w)
-			}
-			for r := 0; r < readers; r++ {
-				rg.Add(1)
-				go func(r int) {
-					defer rg.Done()
-					rng := rand.New(rand.NewSource(int64(100 + r)))
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						k := randKey(rng)
-						v, _, ok := c.Get([]byte(k))
-						if !ok {
-							continue
-						}
-						// Values encode their own key: any answer must
-						// be a stored entry for a prefix of k (or k).
-						body := v[strings.Index(v, ":")+2 : len(v)-1]
-						switch v[0] {
-						case 'P':
-							if !strings.HasPrefix(k, body) {
-								t.Errorf("Get(%q) = prefix entry %q: not a prefix", k, v)
-								return
-							}
-						case 'E':
-							if body != k {
-								t.Errorf("Get(%q) = exact entry %q: wrong bytes", k, v)
-								return
-							}
-						default:
-							t.Errorf("Get(%q) = unknown value %q", k, v)
-							return
-						}
-					}
-				}(r)
-			}
-			mg.Wait()
-			close(stop)
-			rg.Wait()
-
-			// Quiesced: rebuild the unique model from the admissions.
-			m := newModel(1 << 30)
-			total := 0
-			for _, puts := range admitted {
-				for _, p := range puts {
-					total++
-					var fresh bool
-					if p.prefix {
-						fresh = m.putPrefix(p.k, p.v)
-					} else {
-						fresh = m.putExact(p.k, p.v)
-					}
-					if !fresh {
-						t.Fatalf("two admitted puts for the same slot (%v, %q)", p.prefix, p.k)
-					}
-				}
-			}
-			if total > limit {
-				t.Fatalf("admitted %d entries, limit %d", total, limit)
-			}
-			if c.Len() != total {
-				t.Fatalf("Len() = %d, admissions say %d", c.Len(), total)
-			}
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 20000; i++ {
-				k := randKey(rng)
-				gotV, _, gotOK := c.Get([]byte(k))
-				wantV, wantOK := m.get(k)
-				if gotOK != wantOK || gotV != wantV {
-					t.Fatalf("Get(%q) = (%q, %v), model says (%q, %v)", k, gotV, gotOK, wantV, wantOK)
-				}
-			}
-		})
 	}
 }

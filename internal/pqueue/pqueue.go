@@ -150,57 +150,6 @@ func (q *Queue[T]) Reorder(rescore func(T) float64) {
 	q.heapify()
 }
 
-// ReorderWith is Reorder with the re-scoring pass handed to pfor, a
-// caller-supplied parallel-for that must invoke each over a partition
-// of [0, n) and return only when every partition completed. The final
-// heapify stays sequential and runs the same algorithm as Reorder, so
-// the resulting heap layout — and therefore every later pop — is
-// bit-identical to a sequential Reorder: parallelism only touches the
-// score computation, which must be a pure function per element for
-// this to hold (the engine's score memoisation uses atomics to keep
-// racing recomputations of the same memo benign). A nil pfor falls
-// back to Reorder.
-func (q *Queue[T]) ReorderWith(rescore func(T) float64, pfor func(n int, each func(lo, hi int))) {
-	if pfor == nil {
-		q.Reorder(rescore)
-		return
-	}
-	pfor(len(q.h), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			q.h[i].score = rescore(q.h[i].value)
-		}
-	})
-	q.heapify()
-}
-
-// PeekN calls visit on up to n queued values without removing them,
-// drawn from the front of the heap's backing array. The heap property
-// only guarantees the first element is the maximum; the rest of the
-// prefix is a top-biased sample, not a sorted order — exactly what a
-// prefetching consumer wants: a cheap, allocation-free guess at which
-// values the next few pops will return.
-func (q *Queue[T]) PeekN(n int, visit func(T)) {
-	if n > len(q.h) {
-		n = len(q.h)
-	}
-	for i := 0; i < n; i++ {
-		visit(q.h[i].value)
-	}
-}
-
-// PeekNScored is PeekN with each value's current heap score — the
-// shadow-trajectory simulator's queue snapshot (core/shadow.go), which
-// needs the scores to predict future pop order without touching the
-// engine's scoring state.
-func (q *Queue[T]) PeekNScored(n int, visit func(T, float64)) {
-	if n > len(q.h) {
-		n = len(q.h)
-	}
-	for i := 0; i < n; i++ {
-		visit(q.h[i].value, q.h[i].score)
-	}
-}
-
 // Item is one queued value with its current heap score, as exported
 // by Dump for campaign snapshots.
 type Item[T any] struct {

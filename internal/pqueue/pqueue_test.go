@@ -3,7 +3,6 @@ package pqueue
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -136,62 +135,6 @@ func TestPruneKeepsTopK(t *testing.T) {
 			if kept[i] != want[i] {
 				t.Fatalf("trial %d: kept[%d]=%v want %v", trial, i, kept[i], want[i])
 			}
-		}
-	}
-}
-
-func TestPeekN(t *testing.T) {
-	var q Queue[string]
-	q.Push("a", 1)
-	q.Push("b", 3)
-	q.Push("c", 2)
-	var seen []string
-	q.PeekN(2, func(v string) { seen = append(seen, v) })
-	if len(seen) != 2 {
-		t.Fatalf("PeekN(2) visited %d values", len(seen))
-	}
-	if seen[0] != "b" {
-		t.Errorf("PeekN first value = %q, want the maximum \"b\"", seen[0])
-	}
-	if q.Len() != 3 {
-		t.Errorf("PeekN changed the queue length to %d", q.Len())
-	}
-	seen = nil
-	q.PeekN(10, func(v string) { seen = append(seen, v) })
-	if len(seen) != 3 {
-		t.Errorf("PeekN(10) visited %d values, want all 3", len(seen))
-	}
-}
-
-// TestReorderWithMatchesReorder pins the bit-identity contract: a
-// parallel re-score through ReorderWith must leave the heap in exactly
-// the layout a sequential Reorder produces, so every later pop agrees.
-func TestReorderWithMatchesReorder(t *testing.T) {
-	rescore := func(v int) float64 { return float64(-v % 7) }
-	var seq, par Queue[int]
-	for i := 0; i < 500; i++ {
-		seq.Push(i, float64(i))
-		par.Push(i, float64(i))
-	}
-	seq.Reorder(rescore)
-	par.ReorderWith(rescore, func(n int, each func(lo, hi int)) {
-		var wg sync.WaitGroup
-		const chunks = 4
-		for c := 0; c < chunks; c++ {
-			lo, hi := c*n/chunks, (c+1)*n/chunks
-			wg.Add(1)
-			go func() { defer wg.Done(); each(lo, hi) }()
-		}
-		wg.Wait()
-	})
-	for {
-		a, as, aok := seq.Pop()
-		b, bs, bok := par.Pop()
-		if aok != bok || a != b || as != bs {
-			t.Fatalf("pop sequences diverged: (%d,%v,%v) vs (%d,%v,%v)", a, as, aok, b, bs, bok)
-		}
-		if !aok {
-			break
 		}
 	}
 }

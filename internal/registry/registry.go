@@ -34,9 +34,10 @@ type Entry struct {
 	Name string
 	// New constructs the subject. Every registered constructor
 	// returns a stateless value whose Run method is safe for
-	// concurrent calls — the contract the concurrent campaign engine
-	// (core.Config.Workers > 1) relies on when sharing one Program
-	// across its executor pool.
+	// concurrent calls: fleet campaigns run concurrently in one
+	// process, so a subject may keep no mutable state, shared or
+	// package-level (the conformance kit's determinism property
+	// checks this under -race).
 	New func() subject.Program
 	// Inventory is the subject's full token inventory.
 	Inventory tokens.Inventory

@@ -192,9 +192,8 @@ func TestTraceIdentity(t *testing.T) {
 	}
 }
 
-// TestCampaignFingerprintIdentity drives full campaigns — serial and
-// Workers=4 — through the shim and requires the emitted corpus to be
-// bit-identical to the in-process campaign: same fingerprints, same
+// TestCampaignFingerprintIdentity drives full campaigns through the
+// shim and requires the emitted corpus to be bit-identical to the in-process campaign: same fingerprints, same
 // valids at the same execution indices.
 func TestCampaignFingerprintIdentity(t *testing.T) {
 	budget := 800
@@ -214,17 +213,8 @@ func TestCampaignFingerprintIdentity(t *testing.T) {
 			want := core.New(e.New(), cfg).Run()
 			got := core.New(wrapped.New(), cfg).Run()
 			if got.Fingerprint() != want.Fingerprint() {
-				t.Errorf("serial campaign fingerprint %#x through the shim, %#x in process (%d vs %d valids)",
+				t.Errorf("campaign fingerprint %#x through the shim, %#x in process (%d vs %d valids)",
 					got.Fingerprint(), want.Fingerprint(), len(got.Valids), len(want.Valids))
-			}
-
-			par := cfg
-			par.Workers = 4
-			wantPar := core.New(e.New(), par).Run()
-			gotPar := core.New(wrapped.New(), par).Run()
-			if gotPar.Fingerprint() != wantPar.Fingerprint() {
-				t.Errorf("Workers=4 campaign fingerprint %#x through the shim, %#x in process",
-					gotPar.Fingerprint(), wantPar.Fingerprint())
 			}
 			if st := h.Stats(); st.Crashes+st.Hangs+st.Protocol+st.Unavailable != 0 {
 				t.Errorf("healthy campaign reported losses: %+v", st)

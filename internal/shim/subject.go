@@ -1,6 +1,6 @@
-// Subject adapts a Host to the subject.Program contract, so every
-// engine — serial, concurrent, speculative pipeline — drives an
-// out-of-process subject through the interface it already knows. The
+// Subject adapts a Host to the subject.Program contract, so the
+// engine drives an out-of-process subject through the interface it
+// already knows. The
 // trace replay goes through the public trace.Tracer methods only:
 // sequence numbers, the path hash, block first-hit order, stack
 // depths and the prefix-decided verdict are recomputed by the

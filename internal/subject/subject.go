@@ -53,8 +53,8 @@ func Execute(p Program, input []byte, opts trace.Options) *trace.Record {
 // ExecuteInto runs p once on input, recording into sink's reusable
 // buffers instead of allocating fresh ones. The returned record
 // aliases the sink and is valid only until the sink's next use; it is
-// the hot-path variant the campaign engine's executors run, one sink
-// per worker.
+// the hot-path variant the campaign engine runs, one sink per
+// campaign.
 func ExecuteInto(p Program, input []byte, opts trace.Options, sink *trace.Sink) *trace.Record {
 	t := sink.New(input, opts)
 	exit := p.Run(t)
